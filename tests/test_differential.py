@@ -7,13 +7,18 @@ seed, the disk image must stay byte-identical, and the trace/metric
 event streams must stay identical too.  These tests pin that promise
 to goldens captured from the pre-optimization code.
 
-Three seeded scenarios cover the three stacks the optimizations touch:
+Seeded scenarios cover the stacks the optimizations touch:
 
 - ``fig5``: the paper's smallfile benchmark on the conventional and
   C-FFS configurations (vfs -> core/ffs -> cache -> blockdev -> disk);
 - ``postmark``: mixed transactional churn with deletes and appends;
 - ``chaos``: the resilience soak (CRC32C verify on every read, remap,
-  scrub) whose report renders deterministically.
+  scrub) whose report renders deterministically;
+- ``multiclient``: traced engine runs (capture-replay over one disk
+  queue), whose metrics cover the ``engine.<client>.*`` accounting;
+- ``cluster_traffic`` / ``cluster_chaos``: seeded many-client cluster
+  replays (multi-leg renames, health, retry) fingerprinted by their
+  rendered reports and JSON summaries.
 
 Each scenario captures a SHA-256 of the device's logical contents
 (:meth:`BlockDevice.content_digest` — independent of the image
@@ -34,7 +39,21 @@ import os
 
 import pytest
 
+from unittest import mock
+
 from repro import obs
+from repro.cache.policy import MetadataPolicy
+from repro.cluster import (
+    TrafficConfig,
+    chaos_summary,
+    cluster_summary,
+    render_cluster,
+    run_cluster_chaos,
+    run_cluster_traffic,
+)
+from repro.cluster import ChaosConfig as ClusterChaosConfig
+from repro.cluster import render_chaos as render_cluster_chaos
+from repro.engine import multiclient
 from repro.faults.chaos import ChaosConfig, render_chaos, run_chaos
 from repro.workloads import build_filesystem, run_smallfile
 from repro.workloads.postmark import PostmarkConfig, run_postmark
@@ -105,10 +124,72 @@ def capture_chaos() -> dict:
     return {"report": _sha(render_chaos(report))}
 
 
+def _traced_multiclient(**kwargs) -> dict:
+    """``run_multiclient`` under a tracer; digests as :func:`_traced_run`.
+
+    The engine's per-client accounting lands in the tracer's registry,
+    so the metrics digest pins the ``engine.<client>.*`` values float
+    for float.
+    """
+    built = []
+
+    def build(*args):
+        fs = build_filesystem(*args)
+        built.append(fs)
+        return fs
+
+    tracer = obs.Tracer()
+    with mock.patch.object(multiclient, "build_filesystem", build):
+        multiclient.run_multiclient(tracer=tracer, **kwargs)
+    device = built[0].cache.device
+    return {
+        "image": device.content_digest(),
+        "trace": _sha(obs.export_jsonl(tracer)),
+        "metrics": _metrics_digest(tracer.registry),
+        "spans": len(tracer.spans),
+        "sim_seconds": round(device.clock.now, 9),
+    }
+
+
+def capture_multiclient() -> dict:
+    return {
+        "cffs_smallfile": _traced_multiclient(
+            label="cffs", n_clients=4, files_per_client=12,
+            file_size=4096, phases=("create", "read")),
+        "ffs_postmark_journal": _traced_multiclient(
+            label="ffs", n_clients=4, files_per_client=12,
+            workload="postmark", policy=MetadataPolicy.JOURNAL_METADATA),
+    }
+
+
+def _small_traffic(**kwargs) -> TrafficConfig:
+    return TrafficConfig(shards=4, clients=48, ops_per_client=3, dirs=16,
+                         file_size=4096, **kwargs)
+
+
+def capture_cluster_traffic() -> dict:
+    result = run_cluster_traffic(_small_traffic(seed=11,
+                                                rename_fraction=0.1))
+    return {"report": _sha(render_cluster(result)),
+            "summary": _sha(json.dumps(cluster_summary(result),
+                                       sort_keys=True))}
+
+
+def capture_cluster_chaos() -> dict:
+    result = run_cluster_chaos(ClusterChaosConfig(
+        traffic=_small_traffic(seed=2026)))
+    return {"report": _sha(render_cluster_chaos(result)),
+            "summary": _sha(json.dumps(chaos_summary(result),
+                                       sort_keys=True))}
+
+
 CAPTURES = {
     "fig5": capture_fig5,
     "postmark": capture_postmark,
     "chaos": capture_chaos,
+    "multiclient": capture_multiclient,
+    "cluster_traffic": capture_cluster_traffic,
+    "cluster_chaos": capture_cluster_chaos,
 }
 
 
