@@ -15,14 +15,17 @@ Execution styles mirror the single-engine harness:
   meeting at the later of the two around every call (the cluster-wide
   generalization of ``Engine.run_sync``).
 - **concurrent** — :meth:`Cluster.run_phase` replays
-  :class:`ClusterClient` op scripts through the capture-replay
-  machinery.  A cluster op resolves (lazily, at op start) to one or
-  more *legs*, each ``(shard, callable)``: single-shard ops have one
-  leg, a cross-shard rename has four (read source, intent+copy on the
-  destination, unlink source, clear intent).  Each leg is captured on
-  its shard's engine and its requests replay into that shard's disk
-  queue, so N shards genuinely run N arms in parallel while every
-  client still executes its own ops in order.
+  :class:`ClusterClient` op scripts through the engine's one replay
+  loop (:func:`~repro.engine.client.replay_leg`, its step driver and
+  :func:`~repro.engine.client.replay_phase`).  A cluster op resolves
+  (lazily, at op start) to one or more *legs*, each
+  ``(shard, callable)``: single-shard ops have one leg, a cross-shard
+  rename has four (read source, intent+copy on the destination, unlink
+  source, clear intent).  Each leg is captured on its shard's engine
+  and its requests replay into that shard's disk queue, so N shards
+  genuinely run N arms in parallel while every client still executes
+  its own ops in order.  Only the routing CPU charge, leg order, shard
+  health observation and bounded retry are cluster code.
 
 Determinism is inherited wholesale: one event loop, FIFO tie-breaks,
 seeded scripts, no wall clock — two identically-seeded cluster runs
@@ -59,7 +62,7 @@ from repro.cluster.intent import (
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
 from repro.core.filesystem import CFFS
 from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
-from repro.engine.client import Engine, OpRecord
+from repro.engine.client import Engine, OpRecord, replay_leg, replay_phase
 from repro.engine.eventloop import EventLoop
 from repro.engine.multiclient import resolve_label
 from repro.errors import InvalidArgument, ReproError
@@ -135,13 +138,16 @@ class ClusterClient:
                 if phase is None or r.phase == phase]
 
     def _run_ops(self, ops: Sequence[ClusterOp], phase: str):
-        """Generator yielding ("cpu", s) / ("io", (shard, request)).
+        """Replay each op's legs, in order, through :func:`replay_leg`.
 
-        A failed op (hard fault surfacing from a shard's disk queue)
-        is retried with deterministic exponential backoff when its
-        resolver is re-runnable — bounded by the cluster retry policy's
-        attempt budget and per-op simulated-time timeout.  Every error
-        is classified into the per-shard health state first, so routing
+        Around the shared leg replay this adds only what is
+        cluster-specific: the router's CPU charge, leg order, per-shard
+        health and bounded retry.  A failed op (a hard fault surfacing
+        from a shard's disk queue, or a capture error) is retried with
+        deterministic exponential backoff when its resolver is
+        re-runnable — bounded by the cluster retry policy's attempt
+        budget and per-op simulated-time timeout.  Every error is
+        classified into the per-shard health state first, so routing
         reacts while the phase is still running.
         """
         cluster = self.cluster
@@ -152,7 +158,8 @@ class ClusterClient:
             attempts = 0
             retryable = callable(spec) and label in self.RETRYABLE_LABELS
             while True:
-                error: Optional[str] = None
+                record = OpRecord(phase, label, self.cid, start, start,
+                                  0, 0.0, 0.0)
                 try:
                     legs = spec() if callable(spec) else spec
                 except ReproError as exc:
@@ -162,43 +169,25 @@ class ClusterClient:
                     # within a phase.
                     legs = []
                     retryable = False
-                    error = "route: %s: %s" % (type(exc).__name__, exc)
-                route_cpu = cluster._take_route_cpu()
-                nreq = 0
-                qdelay = 0.0
-                retries = 0
-                cpu = route_cpu
+                    record.error = "route: %s: %s" % (type(exc).__name__, exc)
+                route_cpu = record.cpu_seconds = cluster._take_route_cpu()
                 touched: List[int] = []
                 if route_cpu > 0:
                     yield ("cpu", route_cpu)
                 for shard, fn in legs:
                     touched.append(shard.sid)
-                    try:
-                        cap = shard.engine.capture(fn)
-                    except ReproError as exc:
+                    _, cause = yield from replay_leg(shard.engine, fn, record)
+                    if cause is None:
+                        continue
+                    if isinstance(cause, ReproError):
                         cluster.health.observe_exception(
-                            shard.sid, exc, op="write")
-                        error = "%s: %s: %s" % (
-                            shard.name, type(exc).__name__, exc)
-                        break
-                    cpu += cap.cpu_total
-                    for step in cap.requests:
-                        if step.cpu_before > 0:
-                            yield ("cpu", step.cpu_before)
-                        done = yield ("io", (shard, step))
-                        nreq += 1
-                        qdelay += done.queue_delay
-                        retries += done.retries
-                        if done.error is not None:
-                            cluster.health.observe_error(
-                                shard.sid, done.error, op=step.op)
-                            error = "%s: %s" % (shard.name, done.error)
-                            break
-                    if error is not None:
-                        break
-                    if cap.trailing_cpu > 0:
-                        yield ("cpu", cap.trailing_cpu)
-                if error is None or not retryable:
+                            shard.sid, cause, op="write")
+                    else:
+                        cluster.health.observe_error(
+                            shard.sid, record.error, op=cause.op)
+                    record.error = "%s: %s" % (shard.name, record.error)
+                    break
+                if record.error is None or not retryable:
                     break
                 attempts += 1
                 delay = policy.delay(attempts - 1)
@@ -208,14 +197,10 @@ class ClusterClient:
                     break
                 cluster.metrics.counter("cluster.retry.attempts").inc()
                 yield ("cpu", delay)
-            if attempts > 0 and error is None:
+            if attempts > 0 and record.error is None:
                 cluster.metrics.counter("cluster.retry.absorbed").inc()
-            self.records.append(OpRecord(
-                phase=phase, label=label, client=self.cid,
-                start=start, end=loop.now,
-                n_requests=nreq, queue_delay=qdelay,
-                cpu_seconds=cpu, retries=retries, error=error,
-            ))
+            record.end = loop.now
+            self.records.append(record)
             self.leg_shards.append(tuple(touched))
 
 
@@ -487,34 +472,10 @@ class Cluster:
                 raise InvalidArgument(
                     "concurrent replay needs an engine on every shard; "
                     "shard %s is lock-step only" % shard.name)
-        if self.loop.pending:
-            raise InvalidArgument("phase already running")
-        start = self.loop.now
-        for client, ops in assignments.items():
-            gen = client._run_ops(list(ops), phase)
-            self.loop.call_at(start, self._step, client, gen, None)
-        self.loop.run()
+        elapsed = replay_phase(self.loop, assignments, phase)
         for shard in self.shards:
             shard.device.clock.advance_to(self.loop.now)
-        return self.loop.now - start
-
-    def _step(self, client: ClusterClient, gen, payload) -> None:
-        try:
-            kind, arg = gen.send(payload)
-        except StopIteration:
-            client.finished_at = self.loop.now
-            return
-        if kind == "cpu":
-            self.loop.call_later(arg, self._step, client, gen, None)
-            return
-        shard, step = arg
-        if step.op == "flush":
-            shard.queue.flush_barrier(
-                client.cid, lambda req: self._step(client, gen, req))
-        else:
-            shard.queue.submit(
-                step.op, step.lba, step.nsectors, client.cid,
-                lambda req: self._step(client, gen, req))
+        return elapsed
 
     # -- cross-shard rename ----------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""Client contexts: simulated processes interleaved at I/O granularity.
+"""Client contexts and the one replay loop: clients interleaved per request.
 
 The file systems in this repository are synchronous Python code — an
 operation like ``write_file`` charges CPU and issues disk requests deep
 inside its call stack, against the shared clock.  To interleave many
-clients without rewriting that stack as coroutines, the engine runs
-each client operation in two steps:
+clients without rewriting that stack as coroutines, every client
+operation runs in two steps:
 
 1. **Capture** — the operation executes immediately (its data effects
    apply atomically at operation start) against a recording block
@@ -13,13 +13,20 @@ each client operation in two steps:
    real drive.  Data reads and writes go straight to the block device's
    backing store, untimed, so results are exact.
 
-2. **Replay** — the client's generator yields the captured timeline one
-   step at a time: a CPU burst becomes a timer event, a disk request is
-   submitted to the shared :class:`~repro.engine.diskqueue.DiskQueue`
-   and the client sleeps until its completion event.  Request *i+1* is
-   only submitted once request *i* completes (the synchronous stack
-   would have blocked exactly there), so clients interleave at request
-   granularity and contend for the one arm like real processes.
+2. **Replay** — the captured timeline is yielded one step at a time: a
+   CPU burst becomes a timer event, a disk request is submitted to its
+   :class:`~repro.engine.diskqueue.DiskQueue` and the client sleeps
+   until its completion event.  Request *i+1* is only submitted once
+   request *i* completes (the synchronous stack would have blocked
+   exactly there), so clients interleave at request granularity and
+   contend for the arm like real processes.
+
+One loop serves the engine and the cluster: :func:`replay_leg`
+replays one captured call (a *leg*), ``_step`` submits each step to
+the queue it names, and :func:`replay_phase` runs the clients.  A
+:class:`ClientContext` runs each op as one leg; the cluster adds only
+routing CPU, multi-shard legs, health and retry
+(:mod:`repro.cluster.core`).
 
 With a single client the replayed timeline is identical to the
 synchronous execution — the engine is a strict generalization of the
@@ -38,7 +45,7 @@ from repro.clock import SimClock
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.diskqueue import DiskQueue, QueuedRequest
 from repro.engine.eventloop import EventLoop
-from repro.errors import InvalidArgument
+from repro.errors import InvalidArgument, ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule, RetryPolicy
 from repro.vfs.interface import FileSystem
@@ -223,49 +230,30 @@ class ClientContext:
                 if phase is None or r.phase == phase]
 
     def _run_ops(self, ops: Sequence[Op], phase: str):
-        """Generator yielding ("cpu", seconds) / ("io", CapturedRequest)."""
+        """One-leg loop over :func:`replay_leg`, charged to this client."""
         loop = self.engine.loop
         for label, fn in ops:
-            start = loop.now
-            cap = self.engine.capture(fn)
-            nreq = 0
-            qdelay = 0.0
-            op_retries = 0
-            error: Optional[str] = None
-            for step in cap.requests:
-                if step.cpu_before > 0:
-                    self.cpu_seconds += step.cpu_before
-                    yield ("cpu", step.cpu_before)
-                done: QueuedRequest = yield ("io", step)
-                nreq += 1
-                qdelay += done.queue_delay
-                op_retries += done.retries
-                if step.op == "read":
-                    self.reads += 1
-                elif step.op == "write":
-                    self.writes += 1
-                if done.error is not None:
-                    # The synchronous stack would have raised here; the
-                    # op aborts and its remaining requests never issue.
-                    # (Data effects were applied at capture and are not
-                    # unwound — this layer models timing and outcome.)
-                    error = done.error
-                    break
-            if error is None and cap.trailing_cpu > 0:
-                self.cpu_seconds += cap.trailing_cpu
-                yield ("cpu", cap.trailing_cpu)
-            self.queue_delay += qdelay
-            self.retries += op_retries
-            if error is not None:
+            record = OpRecord(phase, label, self.cid, loop.now, loop.now,
+                              0, 0.0, 0.0)
+            cap, _ = yield from replay_leg(self.engine, fn, record)
+            if cap is not None:
+                # One burst at a time, in replay order: the float sums
+                # in the registry depend on it.
+                issued = cap.requests[:record.n_requests]
+                for req in issued:
+                    if req.cpu_before > 0:
+                        self.cpu_seconds += req.cpu_before
+                if record.error is None and cap.trailing_cpu > 0:
+                    self.cpu_seconds += cap.trailing_cpu
+                self.reads += sum(req.op == "read" for req in issued)
+                self.writes += sum(req.op == "write" for req in issued)
+            self.queue_delay += record.queue_delay
+            self.retries += record.retries
+            if record.error is not None:
                 self.io_errors += 1
-            self._latency_ms.observe((loop.now - start) * 1e3)
-            self.records.append(OpRecord(
-                phase=phase, label=label, client=self.cid,
-                start=start, end=loop.now,
-                n_requests=nreq, queue_delay=qdelay,
-                cpu_seconds=cap.cpu_total,
-                retries=op_retries, error=error,
-            ))
+            record.end = loop.now
+            self._latency_ms.observe(record.latency * 1e3)
+            self.records.append(record)
 
 
 for _field in _CLIENT_FIELDS:
@@ -341,20 +329,10 @@ class Engine:
 
     def run_phase(self, assignments: Dict[ClientContext, Sequence[Op]],
                   phase: str = "phase") -> float:
-        """Run every client's op list concurrently; returns elapsed time.
-
-        All clients start at the current time; the phase ends when the
-        last operation (and its disk requests) completes.
-        """
-        if self.loop.pending:
-            raise InvalidArgument("phase already running")
-        start = self.loop.now
-        for client, ops in assignments.items():
-            gen = client._run_ops(list(ops), phase)
-            self.loop.call_at(start, self._step, client, gen, None)
-        self.loop.run()
+        """Run every client's op list concurrently; returns elapsed time."""
+        elapsed = replay_phase(self.loop, assignments, phase)
         self.device.clock.advance_to(self.loop.now)
-        return self.loop.now - start
+        return elapsed
 
     def capture(self, fn: Callable[[FileSystem], object]) -> CapturedOp:
         """Run ``fn(fs)`` against the recording device; returns its timeline."""
@@ -380,23 +358,76 @@ class Engine:
                 tracer.clock = saved_tracer_clock
         return proxy.finish()
 
-    # -- generator driving ---------------------------------------------------------
 
-    def _step(self, client: ClientContext, gen, payload) -> None:
-        try:
-            kind, arg = gen.send(payload)
-        except StopIteration:
-            client.finished_at = self.loop.now
-            return
-        if kind == "cpu":
-            self.loop.call_later(arg, self._step, client, gen, None)
-        elif arg.op == "flush":
-            self.queue.flush_barrier(
-                client.cid, lambda req: self._step(client, gen, req))
-        else:
-            self.queue.submit(
-                arg.op, arg.lba, arg.nsectors, client.cid,
-                lambda req: self._step(client, gen, req))
+def replay_leg(engine: Engine, fn: Callable[[FileSystem], object],
+               record: OpRecord):
+    """Generator: capture ``fn`` on ``engine``, then replay its timeline.
+
+    Yields ``("cpu", seconds)`` / ``("io", (queue, request))`` steps and
+    adds the leg's totals to ``record``.  A capture error, or the first
+    failed request (where the synchronous stack would have raised),
+    ends the leg with ``record.error`` set; data effects applied at
+    capture are not unwound.  Returns ``(captured, cause)``: the
+    timeline (``None`` if capture raised) and the exception or failed
+    request that ended the leg, or ``None``.
+    """
+    try:
+        cap = engine.capture(fn)
+    except ReproError as exc:
+        record.error = "%s: %s" % (type(exc).__name__, exc)
+        return None, exc
+    record.cpu_seconds += cap.cpu_total
+    queue = engine.queue
+    for req in cap.requests:
+        if req.cpu_before > 0:
+            yield ("cpu", req.cpu_before)
+        done: QueuedRequest = yield ("io", (queue, req))
+        record.n_requests += 1
+        record.queue_delay += done.queue_delay
+        record.retries += done.retries
+        if done.error is not None:
+            record.error = done.error
+            return cap, req
+    if cap.trailing_cpu > 0:
+        yield ("cpu", cap.trailing_cpu)
+    return cap, None
+
+
+def _step(loop: EventLoop, client, gen, payload) -> None:
+    """Send ``payload`` into ``client``'s generator; schedule its next step."""
+    try:
+        kind, arg = gen.send(payload)
+    except StopIteration:
+        client.finished_at = loop.now
+        return
+    if kind == "cpu":
+        loop.call_later(arg, _step, loop, client, gen, None)
+        return
+    queue, req = arg
+    if req.op == "flush":
+        queue.flush_barrier(
+            client.cid, lambda done: _step(loop, client, gen, done))
+    else:
+        queue.submit(req.op, req.lba, req.nsectors, client.cid,
+                     lambda done: _step(loop, client, gen, done))
+
+
+def replay_phase(loop: EventLoop, assignments: Dict, phase: str) -> float:
+    """Replay every client's op list concurrently; returns elapsed time.
+
+    A client is anything with ``cid``, ``finished_at`` and a
+    ``_run_ops(ops, phase)`` generator of replay steps.  All clients
+    start at the current time; the phase ends when the last operation
+    (and its disk requests) completes.
+    """
+    if loop.pending:
+        raise InvalidArgument("phase already running")
+    start = loop.now
+    for client, ops in assignments.items():
+        loop.call_at(start, _step, loop, client,
+                     client._run_ops(list(ops), phase), None)
+    loop.run()
+    return loop.now - start
 
 
 # BLOCK_SIZE is re-exported for callers sizing per-client workloads.
@@ -408,4 +439,6 @@ __all__ = [
     "Engine",
     "Op",
     "OpRecord",
+    "replay_leg",
+    "replay_phase",
 ]

@@ -9,9 +9,11 @@ summary, and one phase's aggregate — so the single-engine harness
 (:mod:`repro.engine.multiclient`) and the sharded cluster
 (:mod:`repro.cluster`) cannot drift apart in how they measure.
 
-A "client" here is anything with ``name`` and ``records`` attributes;
-both :class:`~repro.engine.client.ClientContext` and the cluster's
-client satisfy that shape.
+Both drivers replay through the one loop in :mod:`repro.engine.client`,
+so their records are the same :class:`~repro.engine.client.OpRecord`.
+A "client" here is anything with ``name`` and ``records`` attributes:
+an engine :class:`~repro.engine.client.ClientContext`, or a cluster
+client whose ops may span several shards.
 """
 
 from __future__ import annotations

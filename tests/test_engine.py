@@ -245,6 +245,27 @@ class TestEngineApi:
         assert all(r.phase == "create" for r in client.records)
         assert client.latencies("create") == [r.latency for r in client.records]
 
+    def test_op_raising_during_capture_fails_its_record_not_the_phase(self):
+        fs = make_cffs()
+        engine = Engine(fs)
+        a, b = engine.add_client("a"), engine.add_client("b")
+        engine.run_sync(lambda f: f.mkdir("/d"))
+        ops_a = smallfile_ops(["/d/f%d" % i for i in range(4)], 2048,
+                              "create")
+        engine.run_phase({a: ops_a,
+                          b: [("read", lambda f: f.read_file("/d/missing"))]},
+                         "mixed")
+        (failed,) = b.records
+        assert failed.error is not None and "FileNotFound" in failed.error
+        assert failed.n_requests == 0
+        assert b.io_errors == 1
+        assert len(a.records) == len(ops_a)
+        assert all(r.error is None for r in a.records)
+        assert engine.loop.pending == 0
+        engine.run_sync(lambda f: f.sync())
+        engine.run_phase({a: [("read", lambda f: f.read_file("/d/f0"))]})
+        assert a.records[-1].error is None
+
     def test_postmark_and_hypertext_workloads_run(self):
         for workload in ("postmark", "hypertext"):
             result = run_multiclient(
