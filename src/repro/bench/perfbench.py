@@ -16,8 +16,9 @@ state leaks between them:
   production-shaped disabled-observability path;
 - a tracemalloc run: net allocation count/bytes attributed per layer
   (``cache``, ``disk``, ``core`` ...) plus the peak traced footprint.
-  tracemalloc tracks *live* objects, so these are retained-allocation
-  numbers — a regression means something started keeping per-op state;
+  tracemalloc tracks *live* objects and both snapshots follow a full
+  ``gc.collect()``, so these are retained-allocation numbers — a
+  regression means something started keeping per-op state;
 - an optional cProfile run (``--profile``) printing the top-cost
   table that directs optimisation work.
 
@@ -41,6 +42,7 @@ than the one being optimised.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -53,13 +55,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: Schema identifier embedded in (and required of) every snapshot.
 SCHEMA = "repro-perfbench/1"
 
-#: Bumped whenever a scenario definition changes shape or size; a
-#: baseline from another rev measures different work and must not be
-#: compared against.
-WORKLOAD_REV = 1
+#: Bumped whenever a scenario definition changes shape or size, or a
+#: recorded figure changes meaning (rev 2: the allocation pass collects
+#: cycles before both snapshots); a baseline from another rev measures
+#: different work and must not be compared against.
+WORKLOAD_REV = 2
 
 #: CI gate tolerances (see :func:`check_snapshot`).  Retained-object
-#: counts jitter several percent run to run (gc timing, dict resizes),
+#: counts jitter several percent run to run (dict resizes and the like),
 #: while a real per-op leak scales with the op count (thousands of
 #: objects, +20-100%) — so the allocation gate sits at 20%: far above
 #: the observed +/-8% jitter, far below any genuine regression.
@@ -247,9 +250,14 @@ def _measure_alloc(scenario: Scenario) -> Dict[str, object]:
     subject, run, _ops = scenario.build()
     tracemalloc.start()
     try:
+        # Collect cycles before each snapshot: otherwise the diff counts
+        # garbage the cyclic GC has not reached yet, and how much of it
+        # there is depends on whatever ran earlier in the process.
+        gc.collect()
         before = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
         run()
+        gc.collect()
         after = tracemalloc.take_snapshot()
         _current, peak = tracemalloc.get_traced_memory()
     finally:

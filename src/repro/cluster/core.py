@@ -62,7 +62,7 @@ from repro.cluster.intent import (
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
 from repro.core.filesystem import CFFS
 from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
-from repro.engine.client import Engine, OpRecord, replay_leg, replay_phase
+from repro.engine.client import ClientContext, Engine, OpRecord, replay_leg, replay_phase
 from repro.engine.eventloop import EventLoop
 from repro.engine.multiclient import resolve_label
 from repro.errors import InvalidArgument, ReproError
@@ -133,9 +133,8 @@ class ClusterClient:
         self.leg_shards: List[Tuple[int, ...]] = []
         self.finished_at: Optional[float] = None
 
-    def latencies(self, phase: Optional[str] = None) -> List[float]:
-        return [r.latency for r in self.records
-                if phase is None or r.phase == phase]
+    #: The engine client's per-phase view over ``records``, shared.
+    latencies = ClientContext.latencies
 
     def _run_ops(self, ops: Sequence[ClusterOp], phase: str):
         """Replay each op's legs, in order, through :func:`replay_leg`.

@@ -52,9 +52,10 @@ RETRY_LATENCY_BUCKETS = (0.002, 0.005, 0.010, 0.020, 0.050,
                          0.100, 0.250, 1.000)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class QueuedRequest:
-    """One host request travelling through the queue."""
+    """One host request travelling through the queue (compared by
+    identity: the queue dispatches by position, never by field value)."""
 
     op: str                    # "read" | "write" | "flush"
     lba: int
@@ -187,25 +188,25 @@ class DiskQueue:
         self.stats.depth_area += len(self._pending) * (now - self._last_depth_mark)
         self._last_depth_mark = now
 
-    def _select(self) -> QueuedRequest:
-        """Pick the next request per policy (pending must be non-empty)."""
-        for req in self._pending:           # barriers jump the queue
+    def _select(self) -> int:
+        """Index of the next request per policy (pending must be non-empty)."""
+        for i, req in enumerate(self._pending):  # barriers jump the queue
             if req.op == "flush":
-                return req
+                return i
         if self.policy == "fcfs":
-            return self._pending[0]
+            return 0
         head = self.disk.current_lba_estimate()
         addresses = [req.lba for req in self._pending]
         if self.policy == "sstf":
-            return self._pending[sstf_next(addresses, head)]
-        return self._pending[clook_next(addresses, head)]
+            return sstf_next(addresses, head)
+        return clook_next(addresses, head)
 
     def _try_dispatch(self) -> None:
         if self._busy or not self._pending:
             return
-        req = self._select()
+        i = self._select()
         self._integrate_depth()
-        self._pending.remove(req)
+        req = self._pending.pop(i)
         req.dispatch_time = self.loop.now
         self.stats.total_queue_delay += req.queue_delay
 

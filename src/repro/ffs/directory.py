@@ -28,6 +28,10 @@ DirEntry = Tuple[int, int, int, str, int]
 # the FFS tree (the C-FFS analogue lives in repro.core.directory).
 _DIRENT_HEADER = struct.Struct(DIRENT_HEADER_FMT)
 
+# Record size by stored name length (a one-byte header field): the walks
+# index this table instead of calling dirent_size once per record.
+_RECORD_SIZE = tuple(dirent_size(n) for n in range(256))
+
 
 def init_block() -> bytearray:
     """A fresh directory block: one free entry spanning everything."""
@@ -47,8 +51,10 @@ def iter_entries(block: bytes) -> Iterator[DirEntry]:
             )
         name = ""
         if inum != 0 and namelen:
-            raw = bytes(block[offset + DIRENT_HEADER_SIZE:offset + DIRENT_HEADER_SIZE + namelen])
-            name = raw.decode("utf-8", errors="replace")
+            # str() accepts bytes and bytearray alike, so callers can
+            # hand the cache's live buffer in without a copy.
+            name_off = offset + DIRENT_HEADER_SIZE
+            name = str(block[name_off:name_off + namelen], "utf-8", "replace")
         yield offset, inum, kind, name, reclen
         offset += reclen
     if offset != BLOCK_SIZE:
@@ -70,13 +76,23 @@ def find_entry(block: bytes, name: str) -> Optional[Tuple[int, int]]:
 
 def free_bytes(block: bytes) -> int:
     """Largest insertion the block can accept right now."""
+    # Walks raw headers (namelen is stored, so no name decode needed).
+    unpack_header = _DIRENT_HEADER.unpack_from
+    record_size = _RECORD_SIZE
+    offset = 0
     best = 0
-    for _, inum, _, entry_name, reclen in iter_entries(block):
-        if inum == 0:
-            avail = reclen
-        else:
-            avail = reclen - dirent_size(len(entry_name.encode("utf-8")))
-        best = max(best, avail)
+    while offset < BLOCK_SIZE:
+        inum, reclen, namelen, _kind = unpack_header(block, offset)
+        if reclen < DIRENT_HEADER_SIZE or offset + reclen > BLOCK_SIZE:
+            raise CorruptFileSystem(
+                "bad dirent reclen %d at offset %d" % (reclen, offset)
+            )
+        avail = reclen if inum == 0 else reclen - record_size[namelen]
+        if avail > best:
+            best = avail
+        offset += reclen
+    if offset != BLOCK_SIZE:
+        raise CorruptFileSystem("dirent chain does not tile the block")
     return best
 
 
@@ -107,7 +123,7 @@ def add_entry(block: bytearray, inum: int, kind: int, name: str) -> bool:
                 )
             return True
         if cur_inum != 0:
-            used = dirent_size(namelen)
+            used = _RECORD_SIZE[namelen]
             slack = reclen - used
             if slack >= needed:
                 # Split the slack off the live entry.
@@ -131,8 +147,8 @@ def remove_entry(block: bytearray, name: str) -> Optional[int]:
     while offset < BLOCK_SIZE:
         inum, reclen, namelen, kind = _DIRENT_HEADER.unpack_from(block, offset)
         if inum != 0:
-            raw = bytes(block[offset + DIRENT_HEADER_SIZE:offset + DIRENT_HEADER_SIZE + namelen])
-            if raw.decode("utf-8", errors="replace") == name:
+            name_off = offset + DIRENT_HEADER_SIZE
+            if str(block[name_off:name_off + namelen], "utf-8", "replace") == name:
                 if prev_offset is None:
                     _DIRENT_HEADER.pack_into(block, offset, 0, reclen, 0, 0)
                 else:

@@ -318,7 +318,7 @@ class FFS(BlockFileSystem):
         entries_seen = 0
         while index.scanned_blocks < nblocks:
             blk = index.scanned_blocks
-            data = bytes(self._dir_block(dirh, blk))
+            data = self._dir_block(dirh, blk)
             for entry_name, inum, kind in dirfmt.live_entries(data):
                 index.names[entry_name] = (inum, kind, blk)
                 entries_seen += 1
@@ -380,7 +380,7 @@ class FFS(BlockFileSystem):
             raise CorruptFileSystem("free-space accounting disagrees with block")
         token = self._meta_write(bno, requires)
         index.names[name] = (inum, kind, target_blk)
-        index.block_free[target_blk] = dirfmt.free_bytes(bytes(data))
+        index.block_free[target_blk] = dirfmt.free_bytes(data)
         dirh.mtime = self.device.clock.now
         self._istore_inode(dirh, sync=False)
         return token
@@ -403,7 +403,7 @@ class FFS(BlockFileSystem):
         self._istore_inode(dirh, sync=True, requires=(init_token,))
         index = self._dir_index.get(dirh.inum)
         if index is not None:
-            index.block_free[blk] = dirfmt.free_bytes(bytes(buf.data))
+            index.block_free[blk] = dirfmt.free_bytes(buf.data)
             if index.complete:
                 index.scanned_blocks = blk + 1
         return blk
@@ -427,7 +427,7 @@ class FFS(BlockFileSystem):
         if removed != inum:
             raise CorruptFileSystem("index and block disagree on %r" % name)
         del index.names[name]
-        index.block_free[blk] = dirfmt.free_bytes(bytes(data))
+        index.block_free[blk] = dirfmt.free_bytes(data)
         dirh.mtime = self.device.clock.now
         self._istore_inode(dirh, sync=False)
         return inum, kind, token
@@ -562,7 +562,7 @@ class FFS(BlockFileSystem):
         names: List[str] = []
         nblocks = dirh.size // BLOCK_SIZE
         for blk in range(nblocks):
-            data = bytes(self._dir_block(dirh, blk))
+            data = self._dir_block(dirh, blk)
             for name, _, _ in dirfmt.live_entries(data):
                 names.append(name)
         self.cpu.charge_dirent_scan(len(names))

@@ -16,6 +16,32 @@ names = st.text(
     max_size=24,
 )
 
+# Directory names of 1-60 UTF-8 bytes, non-ASCII included: a short
+# random stem repeated to a uniformly drawn length (long names, which
+# fill a block, stay common without drawing 60 random characters each),
+# cut to 60 encoded bytes at a character boundary.
+dirent_names = st.builds(
+    lambda stem, n: (stem * n)[:n].encode("utf-8")[:60].decode("utf-8", "ignore"),
+    st.text(
+        alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="/\x00"),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 60),
+)
+
+
+def _decoded_free_bytes(block):
+    """Reference: free space from each live entry's decoded name."""
+    best = 0
+    for _, inum, _, name, reclen in dirfmt.iter_entries(bytes(block)):
+        if inum == 0:
+            avail = reclen
+        else:
+            avail = reclen - layout.dirent_size(len(name.encode("utf-8")))
+        best = max(best, avail)
+    return best
+
 
 class TestInodePacking:
     def test_roundtrip(self):
@@ -143,6 +169,36 @@ class TestDirentBlock:
         block[5] = 0
         with pytest.raises(CorruptFileSystem):
             list(dirfmt.iter_entries(bytes(block)))
+        with pytest.raises(CorruptFileSystem):
+            dirfmt.free_bytes(block)
+
+    # Five adds per remove on average, so runs fill the block and
+    # removals leave slack inside live records, not just at the tail.
+    @given(st.lists(st.tuples(st.integers(0, 5), dirent_names), min_size=100, max_size=160),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_free_bytes_matches_decoded_reference(self, steps, data):
+        """Header-only free space equals the decode-based reference after
+        every add/remove, and predicts exactly which inserts succeed."""
+        block = dirfmt.init_block()
+        live = {}
+        for inum, (op, name) in enumerate(steps, start=1):
+            if live and op == 0:
+                victim = data.draw(st.sampled_from(sorted(live)), label="victim")
+                assert dirfmt.remove_entry(block, victim) == live.pop(victim)
+            elif name not in live:
+                free = dirfmt.free_bytes(block)
+                fits = layout.dirent_size(len(name.encode("utf-8"))) <= free
+                assert dirfmt.add_entry(block, inum, layout.DT_FILE, name) == fits
+                if fits:
+                    live[name] = inum
+            assert dirfmt.free_bytes(block) == _decoded_free_bytes(block)
+        assert {n: i for n, i, _ in dirfmt.live_entries(block)} == live
+        # A corrupted reclen still raises from the header walk.
+        last = max(o for o, *_ in dirfmt.iter_entries(block))
+        block[last + 4:last + 6] = (BLOCK_SIZE - last + 4).to_bytes(2, "little")
+        with pytest.raises(CorruptFileSystem):
+            dirfmt.free_bytes(block)
 
     def test_free_bytes_decreases_monotonically(self):
         block = dirfmt.init_block()

@@ -9,6 +9,7 @@ snapshot that passes its own gate against itself.
 from __future__ import annotations
 
 import copy
+import gc
 
 import pytest
 
@@ -210,6 +211,38 @@ class TestReferenceAndRendering:
         with pytest.raises(KeyError):
             pb.run_perfbench(["no_such_scenario"], repeats=1,
                              measure_alloc=False)
+
+
+def _build_cyclic_garbage():
+    """A tiny scenario: each run keeps a few lists and drops 200
+    self-referencing dicts, garbage only the cyclic collector frees."""
+    holder = {}
+
+    def run():
+        holder["kept"] = [[] for _ in range(8)]
+        for _ in range(200):
+            node = {}
+            node["self"] = node
+
+    return holder, run, 1
+
+
+def test_alloc_count_independent_of_earlier_runs(monkeypatch):
+    """Uncollected cycles are not retained allocations: the count is
+    the same fresh and after earlier build/run cycles in the process."""
+    scenario = pb.Scenario("cyclic_garbage", "200 dropped cycles per run",
+                           _build_cyclic_garbage)
+    monkeypatch.setitem(pb.SCENARIOS, scenario.name, scenario)
+    gc.collect()
+    fresh = pb._measure_alloc(scenario)["net_count"]
+    for _ in range(3):
+        _holder, run, _ops = scenario.build()
+        run()
+    primed = pb._measure_alloc(scenario)["net_count"]
+    assert fresh == primed
+    assert fresh < 200
+    entry = pb.run_scenario(scenario.name, repeats=2)
+    assert entry["alloc"]["net_count"] == fresh
 
 
 def test_real_run_is_schema_valid_and_self_consistent():
