@@ -5,15 +5,16 @@ grouping small files; this package scales *out*: N complete vertical
 stacks (drive, cache, file system — :class:`~repro.cluster.core.Shard`)
 coupled under one shared event loop, fronted by a namespace router that
 places top-level directory subtrees on shards
-(:mod:`~repro.cluster.router`), a crash-safe cross-shard rename
-protocol (:mod:`~repro.cluster.intent`), a FileSystem-shaped facade so
-existing workloads run unmodified (:mod:`~repro.cluster.facade`), and a
-Zipfian many-client traffic model (:mod:`~repro.cluster.traffic`).
+(:mod:`~repro.cluster.router`), a FileSystem-shaped facade so existing
+workloads run unmodified (:mod:`~repro.cluster.facade`), and a Zipfian
+many-client traffic model (:mod:`~repro.cluster.traffic`).
 
-Fault tolerance (PR 10) lives in three more modules: per-shard health
-classification (:mod:`~repro.cluster.health`), crash-safe shard
-evacuation (:mod:`~repro.cluster.evacuate`), and the cluster-wide
-chaos harness (:mod:`~repro.cluster.chaos`).
+Fault tolerance lives in three more modules: per-shard health
+classification (:mod:`~repro.cluster.health`), shard evacuation
+(:mod:`~repro.cluster.evacuate`), and the cluster-wide chaos harness
+(:mod:`~repro.cluster.chaos`).  Cross-shard rename and evacuation are
+both crash-safe through one durable-operation record format and one
+recovery pass (:mod:`~repro.cluster.intent`).
 """
 
 from repro.cluster.chaos import (
@@ -27,13 +28,7 @@ from repro.cluster.chaos import (
     validate_chaos_summary,
 )
 from repro.cluster.core import Cluster, ClusterClient, ClusterOp, Leg, Shard
-from repro.cluster.evacuate import (
-    EvacuatedTop,
-    adopted_tops,
-    evacuate_shard,
-    evacuate_top,
-    recover_shard_evacs,
-)
+from repro.cluster.evacuate import EvacuatedTop, evacuate_shard, evacuate_top
 from repro.cluster.facade import ClusterFS, split_top
 from repro.cluster.health import (
     ClusterHealth,
@@ -43,11 +38,10 @@ from repro.cluster.health import (
 )
 from repro.cluster.intent import (
     CLUSTER_DIR,
-    encode_intent,
-    intent_path,
-    parse_intent,
-    pending_intents,
-    recover_shard_intents,
+    adopted_tops,
+    decode_record,
+    encode_record,
+    record_path,
 )
 from repro.cluster.router import (
     DEFAULT_VNODES,
@@ -100,16 +94,13 @@ __all__ = [
     "adopted_tops",
     "chaos_summary",
     "cluster_summary",
-    "encode_intent",
+    "decode_record",
+    "encode_record",
     "evacuate_shard",
     "evacuate_top",
-    "intent_path",
     "make_router",
     "parse_fault_spec",
-    "parse_intent",
-    "pending_intents",
-    "recover_shard_evacs",
-    "recover_shard_intents",
+    "record_path",
     "render_chaos",
     "render_cluster",
     "run_cluster_chaos",

@@ -38,13 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
-from repro.cluster.evacuate import (
-    EvacuatedTop,
-    adopted_tops,
-    evacuate_shard,
-    evacuate_top,
-    recover_shard_evacs,
-)
+from repro.cluster.evacuate import EvacuatedTop, evacuate_shard, evacuate_top
 from repro.cluster.health import (
     ClusterHealth,
     ClusterRetryPolicy,
@@ -53,12 +47,13 @@ from repro.cluster.health import (
 )
 from repro.cluster.intent import (
     CLUSTER_DIR,
+    adopted_tops,
     durable_unlink,
     durable_write,
-    encode_intent,
-    intent_path,
-    recover_shard_intents,
+    encode_record,
+    record_path,
 )
+from repro.cluster.intent import recover as recover_records
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
 from repro.core.filesystem import CFFS
 from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
@@ -352,13 +347,13 @@ class Cluster:
         return dict(self.router.assignments)
 
     def recover(self) -> List[Tuple[int, str]]:
-        """Apply intent recovery (renames, then evacuations) per shard."""
-        filesystems = {shard.sid: shard.fs for shard in self.shards}
-        outcomes: List[Tuple[int, str]] = []
-        for shard in self.shards:
-            outcomes.extend(recover_shard_intents(shard.sid, filesystems))
-        for shard in self.shards:
-            outcomes.extend(recover_shard_evacs(shard.sid, filesystems))
+        """Roll every shard's ``/.cluster`` records back or forward
+        (:func:`repro.cluster.intent.recover`), counting each outcome
+        into ``cluster.recover.<outcome>``."""
+        outcomes = recover_records(
+            {shard.sid: shard.fs for shard in self.shards})
+        for _, action in outcomes:
+            self.metrics.counter("cluster.recover." + action).inc()
         return outcomes
 
     # -- health and evacuation -------------------------------------------------
@@ -494,8 +489,9 @@ class Cluster:
         earlier legs' shards without dragging unrelated dirty data
         into the rename's critical path.
         """
-        ipath = intent_path(self.next_intent_seq())
-        payload = encode_intent(src_shard.sid, old, new)
+        ipath = record_path("intent", self.next_intent_seq())
+        payload = encode_record("intent", src_shard=src_shard.sid,
+                                src=old, dst=new)
         cell: Dict[str, bytes] = {}
         cluster = self
 

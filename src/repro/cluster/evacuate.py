@@ -7,34 +7,12 @@ forever.  Evacuation drains it — reads still work on a READ_ONLY shard
 placed top-level subtree to a healthy destination and flipping the
 router assignment.  The shard is then retired (marked FAILED).
 
-Crash safety reuses the cross-shard rename machinery from
-:mod:`repro.cluster.intent` — the same CRC-sealed records under
-``/.cluster``, the same targeted-durability writes — with one twist:
-the *source cannot be written* (it is read-only), so the rename
-protocol's "unlink the source" commit point is unavailable.  The commit
-point moves to the destination instead::
-
-    1. dst: write  /.cluster/evac-NNNNNN    {src shard, top, counts}
-    2. dst: create the subtree's directories
-    3. dst: write  every file copy (each individually durable)
-    4. dst: write  /.cluster/adopt-<top>    {top, src shard}
-    5. dst: unlink the evac intent          (may stay cached)
-    6. router: reassign(top, dst)
-
-The **adopt record** (step 4) is the commit: it is written only after
-every copy in the subtree is durable, so at any media-write boundary
-
-- adopt record durable  -> the destination owns a complete subtree
-  (roll the intent forward, clear the stale source copy when the
-  source becomes writable again);
-- adopt record absent   -> the still-intact read-only source remains
-  authoritative (roll back: remove the partial destination copy).
-
-:func:`recover_shard_evacs` applies exactly that rule, and
-adoption-aware assignment rebuild (:meth:`Cluster.rebuild_assignments`)
-prefers a valid adopt record over a stale source-root listing — the
-read-only source could never unlink its copy, so after a restart both
-shards list the subtree and the adopt record breaks the tie.
+The copy is one of the cluster's durable operations: an evac record
+first, a durable adopt record as the commit once every file copy is
+durable.  :mod:`repro.cluster.intent` holds the record codec, the
+protocol's leg order, the subtree walk and the recovery
+(:func:`~repro.cluster.intent.recover`); this module only copies and
+reassigns.
 
 Everything is deterministic: subtrees and files are walked in sorted
 order, destinations come from the router's health-aware spare pick,
@@ -45,115 +23,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.cluster.intent import (
-    CLUSTER_DIR,
     durable_write,
-    parse_fields,
-    seal,
-    unseal,
+    encode_record,
+    record_path,
+    subtree_manifest,
 )
-from repro.errors import DiskError, FileSystemError
-from repro.vfs import FileKind
-
-EVAC_PREFIX = "evac-"
-ADOPT_PREFIX = "adopt-"
-_EVAC_MAGIC = "repro-cluster-evac/1"
-_ADOPT_MAGIC = "repro-cluster-adopt/1"
-
-
-def evac_path(seq: int) -> str:
-    return "%s/%s%06d" % (CLUSTER_DIR, EVAC_PREFIX, seq)
-
-
-def adopt_path(top: str) -> str:
-    return "%s/%s%s" % (CLUSTER_DIR, ADOPT_PREFIX, top)
-
-
-def encode_evac(src_shard: int, top: str, n_files: int,
-                n_bytes: int) -> bytes:
-    return seal("%s\nsrc_shard=%d\ntop=%s\nfiles=%d\nbytes=%d\n" % (
-        _EVAC_MAGIC, src_shard, top, n_files, n_bytes))
-
-
-def parse_evac(data: bytes) -> Optional[Tuple[int, str, int, int]]:
-    head = unseal(data)
-    if head is None:
-        return None
-    fields = parse_fields(head, _EVAC_MAGIC, 5)
-    if fields is None:
-        return None
-    try:
-        return (int(fields["src_shard"]), fields["top"],
-                int(fields["files"]), int(fields["bytes"]))
-    except (KeyError, ValueError):
-        return None
-
-
-def encode_adopt(top: str, src_shard: int) -> bytes:
-    return seal("%s\ntop=%s\nsrc_shard=%d\n" % (
-        _ADOPT_MAGIC, top, src_shard))
-
-
-def parse_adopt(data: bytes) -> Optional[Tuple[str, int]]:
-    head = unseal(data)
-    if head is None:
-        return None
-    fields = parse_fields(head, _ADOPT_MAGIC, 3)
-    if fields is None:
-        return None
-    try:
-        return fields["top"], int(fields["src_shard"])
-    except (KeyError, ValueError):
-        return None
-
-
-# -- namespace walking -----------------------------------------------------------
-
-
-def subtree_manifest(fs, root: str) -> Tuple[List[str], List[str]]:
-    """(directories, files) under ``root``, both sorted, root included
-    in the directory list.  Deterministic: the evacuator's copy order.
-    """
-    dirs: List[str] = []
-    files: List[str] = []
-    stack = [root]
-    while stack:
-        path = stack.pop()
-        dirs.append(path)
-        children = []
-        for name in sorted(fs.readdir(path)):
-            child = "%s/%s" % (path.rstrip("/"), name)
-            if fs.stat(child).kind is FileKind.DIRECTORY:
-                children.append(child)
-            else:
-                files.append(child)
-        stack.extend(reversed(children))
-    return sorted(dirs), sorted(files)
-
-
-def remove_tree(fs, root: str) -> None:
-    """Remove ``root`` and everything under it (bottom-up)."""
-    dirs, files = subtree_manifest(fs, root)
-    for path in files:
-        fs.unlink(path)
-    for path in reversed(dirs):
-        fs.rmdir(path)
-
-
-def adopted_tops(fs) -> Dict[str, int]:
-    """Valid adopt records on a shard: top -> source shard id."""
-    if not fs.exists(CLUSTER_DIR):
-        return {}
-    out: Dict[str, int] = {}
-    for name in sorted(fs.readdir(CLUSTER_DIR)):
-        if not name.startswith(ADOPT_PREFIX):
-            continue
-        parsed = parse_adopt(fs.read_file("%s/%s" % (CLUSTER_DIR, name)))
-        if parsed is not None and parsed[0] == name[len(ADOPT_PREFIX):]:
-            out[parsed[0]] = parsed[1]
-    return out
 
 
 # -- the evacuator ---------------------------------------------------------------
@@ -177,16 +54,17 @@ def evacuate_top(cluster, top: str, src_shard, dst_shard) -> EvacuatedTop:
     """Copy one subtree from ``src_shard`` to ``dst_shard`` (crash-safe).
 
     The source is only ever *read*; every destination step is ordered
-    behind a durable evac intent and committed by a durable adopt
-    record (see the module docstring for the recovery argument).
+    behind a durable evac record and committed by a durable adopt
+    record (:mod:`repro.cluster.intent` has the recovery argument).
     """
     root = "/" + top
     dirs, files = subtree_manifest(src_shard.fs, root)
     sizes = {path: src_shard.fs.stat(path).size for path in files}
     report = EvacuatedTop(top=top, src=src_shard.sid, dst=dst_shard.sid,
                           files=len(files), bytes=sum(sizes.values()))
-    ipath = evac_path(cluster.next_intent_seq())
-    payload = encode_evac(src_shard.sid, top, report.files, report.bytes)
+    ipath = record_path("evac", cluster.next_intent_seq())
+    payload = encode_record("evac", src_shard=src_shard.sid, top=top,
+                            files=report.files, bytes=report.bytes)
     cluster.lockstep(dst_shard, lambda f: durable_write(f, ipath, payload))
     for dpath in dirs:
         cluster.lockstep(dst_shard,
@@ -202,9 +80,9 @@ def evacuate_top(cluster, top: str, src_shard, dst_shard) -> EvacuatedTop:
         cluster.account(dst_shard, bytes_written=len(data))
         cluster.metrics.counter("cluster.evac.files").inc()
         cluster.metrics.counter("cluster.evac.bytes").inc(len(data))
-    adopt = encode_adopt(top, src_shard.sid)
-    cluster.lockstep(dst_shard,
-                     lambda f: durable_write(f, adopt_path(top), adopt))
+    adopt = encode_record("adopt", top=top, src_shard=src_shard.sid)
+    cluster.lockstep(dst_shard, lambda f: durable_write(
+        f, record_path("adopt", top), adopt))
     # Clearing the intent may stay cached: a stale evac intent whose
     # adopt record is durable recovers by (idempotent) roll-forward.
     cluster.lockstep(dst_shard, lambda f: f.unlink(ipath))
@@ -234,98 +112,8 @@ def evacuate_shard(cluster, sid: int) -> List[EvacuatedTop]:
     return reports
 
 
-# -- recovery --------------------------------------------------------------------
-
-
-def recover_shard_evacs(dst_sid: int, filesystems) -> List[Tuple[int, str]]:
-    """Apply the evacuation recovery rule on shard ``dst_sid``.
-
-    Returns ``(src_shard, action)`` pairs with actions
-    ``"evac_rolled_forward"`` (adopt record durable: the copy is
-    complete and owned here), ``"evac_rolled_back"`` (no adopt record:
-    remove the partial copy, the source is authoritative),
-    ``"evac_discarded"`` (torn record), and ``"evac_source_cleared"``
-    (the stale source copy of an adopted subtree was removed because
-    the source is writable again — the move's deferred unlink).
-    Idempotent: a second run over the converged state is a no-op.
-    """
-    fs = filesystems[dst_sid]
-    if not fs.exists(CLUSTER_DIR):
-        return []
-    names = sorted(fs.readdir(CLUSTER_DIR))
-    outcomes: List[Tuple[int, str]] = []
-    touched = set()
-
-    adopted: Dict[str, int] = {}
-    for name in [n for n in names if n.startswith(ADOPT_PREFIX)]:
-        path = "%s/%s" % (CLUSTER_DIR, name)
-        parsed = parse_adopt(fs.read_file(path))
-        if parsed is None or parsed[0] != name[len(ADOPT_PREFIX):]:
-            # Torn adopt record: the commit never landed, so the evac
-            # intents for its subtree roll back below.
-            fs.unlink(path)
-            touched.add(dst_sid)
-            outcomes.append((-1, "evac_discarded"))
-            continue
-        adopted[parsed[0]] = parsed[1]
-
-    for name in [n for n in names if n.startswith(EVAC_PREFIX)]:
-        path = "%s/%s" % (CLUSTER_DIR, name)
-        parsed = parse_evac(fs.read_file(path))
-        if parsed is None:
-            fs.unlink(path)
-            touched.add(dst_sid)
-            outcomes.append((-1, "evac_discarded"))
-            continue
-        src_sid, top = parsed[0], parsed[1]
-        if top in adopted:
-            fs.unlink(path)
-            outcomes.append((src_sid, "evac_rolled_forward"))
-        else:
-            root = "/" + top
-            if fs.exists(root):
-                remove_tree(fs, root)
-            fs.unlink(path)
-            outcomes.append((src_sid, "evac_rolled_back"))
-        touched.add(dst_sid)
-
-    # Deferred source unlink: an adopted subtree's stale source copy is
-    # removed once the source shard accepts writes again (post-restart
-    # remount); while it refuses, the adopt record keeps masking it.
-    for top, src_sid in sorted(adopted.items()):
-        src_fs = filesystems.get(src_sid)
-        if src_fs is None:
-            continue
-        root = "/" + top
-        if src_fs.exists(root):
-            try:
-                remove_tree(src_fs, root)
-                src_fs.sync()
-            except (DiskError, FileSystemError):
-                continue   # still read-only/failed; keep the record
-            outcomes.append((src_sid, "evac_source_cleared"))
-        fs.unlink(adopt_path(top))
-        touched.add(dst_sid)
-
-    for sid in sorted(touched):
-        filesystems[sid].sync()
-    return outcomes
-
-
 __all__ = [
-    "ADOPT_PREFIX",
-    "EVAC_PREFIX",
     "EvacuatedTop",
-    "adopt_path",
-    "adopted_tops",
-    "encode_adopt",
-    "encode_evac",
-    "evac_path",
     "evacuate_shard",
     "evacuate_top",
-    "parse_adopt",
-    "parse_evac",
-    "recover_shard_evacs",
-    "remove_tree",
-    "subtree_manifest",
 ]

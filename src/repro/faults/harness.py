@@ -18,6 +18,13 @@ updates, or write-ahead journaling, plus fsck (which replays the log
 before its walk) — predicts 100% recovery at every point on both
 formats; the sweep tests that prediction exhaustively.
 
+The crash points come from :func:`crash_images`, the one crash-sweep
+driver: it runs any workload over any number of journaling devices,
+merges their landed media writes into one global order, and yields the
+devices' images at every (strided) point of that order.  The cluster
+sweeps use it with two shards' devices to cut a cross-shard protocol,
+or cluster recovery itself, at every landed write.
+
 Everything is deterministic: the workload is seeded, the journal is a
 pure function of the seed, and crash images are replayed from it.
 """
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
@@ -154,30 +161,9 @@ def _checker(label: str) -> Callable[..., FsckReport]:
     return fsck_ffs if label == "ffs" else fsck_cffs
 
 
-def run_journaled_workload(
-    label: str,
-    policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
-    n_files: int = 50,
-    seed: int = 1997,
-    sync_every: int = 5,
-    resilient: bool = False,
-) -> Tuple[FaultyBlockDevice, List[Checkpoint]]:
-    """Run the sweep workload once; returns the journaling device and
-    the checkpoint list (first checkpoint = empty tree after mkfs).
-
-    The workload creates ``n_files`` small files, overwriting every 7th
-    earlier file and deleting every 11th as it goes — so crash windows
-    cover create, overwrite and unlink paths — and syncs every
-    ``sync_every`` operations.  Contents are unique per (file, version),
-    so two checkpoints never agree on a path by accident.
-
-    With ``resilient=True`` the file system runs over a
-    :class:`ResilientBlockDevice`, and a deterministic sprinkle of
-    bad-write locations forces remaps mid-workload — so the journal
-    contains spare-block and remap-header writes, and the sweep's crash
-    windows land *between* them (the remap-write boundaries repair must
-    survive).
-    """
+def _journaled_fs(label: str, policy: MetadataPolicy, seed: int,
+                  resilient: bool) -> Tuple[FaultyBlockDevice, object]:
+    """mkfs over a journaling proxy, with ``/data`` made and synced."""
     if label not in FAULT_FSES:
         raise ReproError("unknown file system %r; known: %s"
                          % (label, ", ".join(FAULT_FSES)))
@@ -195,10 +181,15 @@ def run_journaled_workload(
     fs = _mkfs(label, policy, target)
     fs.mkdir("/data")
     fs.sync()
+    return device, fs
+
+
+def _churn(fs, device: FaultyBlockDevice, checkpoints: List[Checkpoint],
+           n_files: int, seed: int, sync_every: int) -> None:
+    """The sweep workload proper; appends one checkpoint per sync."""
     assert device.journal is not None
     live: Dict[str, bytes] = {}
     versions: Dict[int, int] = {}
-    checkpoints = [Checkpoint(len(device.journal), {})]
 
     def path_of(index: int) -> str:
         return "/data/f%04d" % index
@@ -225,19 +216,84 @@ def run_journaled_workload(
             checkpoints.append(Checkpoint(len(device.journal), dict(live)))
     fs.sync()
     checkpoints.append(Checkpoint(len(device.journal), dict(live)))
+
+
+def run_journaled_workload(
+    label: str,
+    policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
+    n_files: int = 50,
+    seed: int = 1997,
+    sync_every: int = 5,
+    resilient: bool = False,
+) -> Tuple[FaultyBlockDevice, List[Checkpoint]]:
+    """Run the sweep workload once; returns the journaling device and
+    the checkpoint list (first checkpoint = empty tree after mkfs).
+
+    The workload creates ``n_files`` small files, overwriting every 7th
+    earlier file and deleting every 11th as it goes — so crash windows
+    cover create, overwrite and unlink paths — and syncs every
+    ``sync_every`` operations.  Contents are unique per (file, version),
+    so two checkpoints never agree on a path by accident.
+
+    With ``resilient=True`` the file system runs over a
+    :class:`ResilientBlockDevice`, and a deterministic sprinkle of
+    bad-write locations forces remaps mid-workload — so the journal
+    contains spare-block and remap-header writes, and the sweep's crash
+    windows land *between* them (the remap-write boundaries repair must
+    survive).
+    """
+    device, fs = _journaled_fs(label, policy, seed, resilient)
+    assert device.journal is not None
+    checkpoints = [Checkpoint(len(device.journal), {})]
+    _churn(fs, device, checkpoints, n_files, seed, sync_every)
     return device, checkpoints
+
+
+def crash_images(
+    devices: Sequence[FaultyBlockDevice],
+    workload: Callable[[], object],
+    stride: int = 1,
+) -> Iterator[Tuple[int, List[BlockDevice]]]:
+    """Run ``workload()`` once, then yield ``(k, images)`` per crash point.
+
+    ``devices`` are journaling proxies (``record_journal=True``); their
+    media writes that land while the workload runs merge into one
+    global order, and ``images[i]`` is device ``i`` as a power cut right
+    after the ``k``-th write of that order leaves it.  ``k`` steps by
+    ``stride`` from 0 (nothing landed) and always includes the final
+    write.  The devices' write hooks are restored even if the workload
+    raises.
+    """
+    base = [len(dev.journal) for dev in devices]
+    order: List[int] = []
+    hooks = [dev.on_media_write for dev in devices]
+    for i, dev in enumerate(devices):
+        dev.on_media_write = lambda bno, data, i=i: order.append(i)
+    try:
+        workload()
+    finally:
+        for dev, hook in zip(devices, hooks):
+            dev.on_media_write = hook
+    ks = list(range(0, len(order) + 1, stride))
+    if ks[-1] != len(order):
+        ks.append(len(order))
+    landed, done = base, 0
+    for k in ks:
+        for i in order[done:k]:
+            landed[i] += 1
+        done = k
+        yield k, [dev.image_at(n) for dev, n in zip(devices, landed)]
 
 
 def _verify_point(
     label: str,
-    device: FaultyBlockDevice,
+    image: BlockDevice,
     checkpoints: List[Checkpoint],
     k: int,
     resilient: bool = False,
 ) -> CrashPoint:
     """Repair, re-check, remount and read back one crash image."""
     check = _checker(label)
-    image = device.image_at(k)
     pre_fixes = 0
     if resilient:
         # The self-healing layer's own metadata is repaired first (the
@@ -332,23 +388,20 @@ def crash_point_sweep(
     """
     if stride < 1:
         raise ReproError("stride must be >= 1, got %d" % stride)
-    device, checkpoints = run_journaled_workload(
-        label, policy, n_files=n_files, seed=seed, sync_every=sync_every,
-        resilient=resilient)
+    device, fs = _journaled_fs(label, policy, seed, resilient)
     assert device.journal is not None
-    total = len(device.journal)
-    base = checkpoints[0].journal_len
-    result = SweepResult(
+    base = len(device.journal)
+    checkpoints = [Checkpoint(base, {})]
+    points = [
+        _verify_point(label, images[0], checkpoints, base + k,
+                      resilient=resilient)
+        for k, images in crash_images(
+            [device], lambda: _churn(fs, device, checkpoints, n_files,
+                                     seed, sync_every), stride)]
+    return SweepResult(
         label=label, policy=policy.value, n_files=n_files, seed=seed,
-        journal_base=base, total_writes=total, stride=stride,
-        resilient=resilient)
-    ks = list(range(base, total + 1, stride))
-    if ks[-1] != total:
-        ks.append(total)
-    for k in ks:
-        result.points.append(
-            _verify_point(label, device, checkpoints, k, resilient=resilient))
-    return result
+        journal_base=base, total_writes=len(device.journal), stride=stride,
+        resilient=resilient, points=points)
 
 
 def render_sweep(results: List[SweepResult]) -> str:
@@ -379,6 +432,7 @@ __all__ = [
     "Checkpoint",
     "CrashPoint",
     "SweepResult",
+    "crash_images",
     "crash_point_sweep",
     "render_sweep",
     "run_journaled_workload",

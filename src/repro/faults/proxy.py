@@ -23,7 +23,8 @@ over it unchanged.  Every timed media request consults a
 
 With ``record_journal=True`` the proxy keeps the ordered list of
 ``(block, bytes)`` media writes that actually landed.  ``image_at(k)``
-replays a prefix onto a fresh device — the crash-point sweep images.
+replays a prefix onto a copy of the device as the proxy found it — the
+crash-point sweep images.
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ class FaultyBlockDevice:
         self.stats = FaultStats()
         self.journal: Optional[List[Tuple[int, bytes]]] = (
             [] if record_journal else None)
+        # The inner device's blocks when recording began: crash images
+        # start from here, so a proxy around a populated image keeps it.
+        self._journal_base: Dict[int, bytes] = (
+            dict(inner._blocks) if record_journal else {})
         # Called once per landed media write as (block, data), after the
-        # journal append.  Lets a harness interleave several devices'
-        # write streams into one global order — the cluster crash sweep
-        # kills a multi-shard protocol at every point of that order.
+        # journal append.  Lets the crash-sweep driver
+        # (repro.faults.harness.crash_images) merge several devices'
+        # write streams into one global order.
         self.on_media_write: Optional[Callable[[int, bytes], None]] = None
         self.dead = False
         self._rotted: set = set()   # rot already applied to the media
@@ -280,11 +285,13 @@ class FaultyBlockDevice:
     # -- crash images ------------------------------------------------------------
 
     def image_at(self, k: Optional[int] = None) -> BlockDevice:
-        """A fresh device holding the first ``k`` journalled media writes
+        """A fresh device holding the inner device's blocks from when the
+        proxy was created plus the first ``k`` journalled media writes
         (all of them when ``k`` is None).  Requires ``record_journal``."""
         if self.journal is None:
             raise ValueError("proxy was created without record_journal")
         device = BlockDevice(self.inner.disk.profile)
+        device._blocks.update(self._journal_base)
         prefix = self.journal if k is None else self.journal[:k]
         for bno, data in prefix:
             device.poke_block(bno, data)

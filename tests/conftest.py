@@ -11,9 +11,12 @@ import pytest
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
+from repro.cluster import Cluster
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.disk.profiles import DriveProfile
+from repro.faults.proxy import FaultyBlockDevice
 from repro.ffs.filesystem import FFS, FFSConfig
+from repro.fsck import fsck_cffs
 
 TEST_PROFILE = DriveProfile(
     name="TestDrive 13MB",
@@ -64,6 +67,58 @@ def make_cffs(
         **overrides,
     )
     return CFFS.mkfs(make_device(), config)
+
+
+def shard_config(policy: MetadataPolicy) -> CFFSConfig:
+    return CFFSConfig(blocks_per_cg=512, cache_blocks=512, policy=policy)
+
+
+def sharded_pair(policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA):
+    """Two CFFS shards on journaling fault proxies, under one cluster."""
+    devices = [FaultyBlockDevice(make_device(), record_journal=True)
+               for _ in range(2)]
+    filesystems = [CFFS.mkfs(device, shard_config(policy))
+                   for device in devices]
+    return Cluster(filesystems=filesystems, router="util"), devices
+
+
+def remount_cluster(images, policy: MetadataPolicy, where: str = "",
+                    record: bool = False) -> Cluster:
+    """fsck-repair every crash image (each must come back pristine),
+    remount it under ``policy`` — over a journaling fault proxy when
+    ``record`` — and rebuild a cluster over the shards."""
+    mounted = []
+    for image in images:
+        fsck_cffs(image, repair=True)
+        report = fsck_cffs(image)
+        assert report.pristine, ("%s unrepairable: %s" % (
+            where, "; ".join(report.errors + report.repairs)))
+        device = (FaultyBlockDevice(image, record_journal=True) if record
+                  else image)
+        mounted.append(CFFS.mount(device, shard_config(policy)))
+    return Cluster(filesystems=mounted, router="util")
+
+
+def assert_one_copy(cluster: Cluster, paths, data: bytes,
+                    where: str = "") -> None:
+    """Exactly one intact copy among ``paths`` across every shard, on
+    the shard the rebuilt assignment table names, which is also the
+    only shard holding that path's top-level directory."""
+    owners = cluster.rebuild_assignments()
+    copies = [(shard.sid, path) for shard in cluster.shards
+              for path in paths if shard.fs.exists(path)]
+    assert len(copies) == 1, "%s: copies of %s at %s" % (
+        where, "/".join(paths), copies or "no shard")
+    sid, path = copies[0]
+    top = path.split("/")[1]
+    assert owners[top] == sid, (
+        "%s: %s on s%d, assignment says s%d" % (where, path, sid, owners[top]))
+    holders = [shard.sid for shard in cluster.shards
+               if shard.fs.exists("/" + top)]
+    assert holders == [sid], "%s: /%s on shards %s, expected only s%d" % (
+        where, top, holders, sid)
+    assert cluster.shards[sid].fs.read_file(path) == data, (
+        "%s: surviving copy of %s corrupt" % (where, path))
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ import json
 
 import pytest
 
-from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
     Cluster,
@@ -29,19 +28,18 @@ from repro.cluster import (
     TrafficConfig,
     UtilizationRouter,
     cluster_summary,
-    encode_intent,
+    decode_record,
+    encode_record,
     make_router,
-    parse_intent,
+    record_path,
     render_cluster,
     run_cluster_traffic,
     split_top,
     validate_cluster_summary,
 )
-from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import InvalidArgument
-from repro.faults.proxy import FaultyBlockDevice
-from repro.fsck import fsck_cffs
-from tests.conftest import TEST_PROFILE
+from repro.faults.harness import crash_images
+from tests.conftest import assert_one_copy, remount_cluster, sharded_pair
 
 SMALL = dict(clients=48, ops_per_client=3, dirs=16, file_size=4096)
 
@@ -122,18 +120,32 @@ class TestRouterPlacement:
 
 class TestIntentCodec:
     def test_roundtrip(self):
-        data = encode_intent(3, "/a/x", "/b/y")
-        assert parse_intent(data) == (3, "/a/x", "/b/y")
+        data = encode_record("intent", src_shard=3, src="/a/x", dst="/b/y")
+        assert data == (b"repro-cluster-intent/1\nsrc_shard=3\nsrc=/a/x\n"
+                        b"dst=/b/y\ncrc=0eff8a27\n")
+        assert decode_record("intent", data) == {
+            "src_shard": 3, "src": "/a/x", "dst": "/b/y"}
+        evac = encode_record("evac", src_shard=1, top="t", files=2, bytes=9)
+        assert decode_record("evac", evac) == {
+            "src_shard": 1, "top": "t", "files": 2, "bytes": 9}
+        adopt = encode_record("adopt", top="t", src_shard=1)
+        assert decode_record("adopt", adopt) == {"top": "t", "src_shard": 1}
+        # A record of one kind never decodes as another.
+        assert decode_record("evac", data) is None
+        assert decode_record("intent", adopt) is None
+        assert record_path("intent", 7) == "/.cluster/intent-000007"
+        assert record_path("evac", 7) == "/.cluster/evac-000007"
+        assert record_path("adopt", "t") == "/.cluster/adopt-t"
 
     def test_torn_and_garbled_intents_parse_to_none(self):
-        data = encode_intent(0, "/a/x", "/b/y")
+        data = encode_record("intent", src_shard=0, src="/a/x", dst="/b/y")
         for cut in range(len(data)):
-            assert parse_intent(data[:cut]) is None
+            assert decode_record("intent", data[:cut]) is None
         flipped = bytearray(data)
         flipped[5] ^= 0xFF
-        assert parse_intent(bytes(flipped)) is None
-        assert parse_intent(b"") is None
-        assert parse_intent(b"\xff\xfe not utf8 \x80") is None
+        assert decode_record("intent", bytes(flipped)) is None
+        assert decode_record("intent", b"") is None
+        assert decode_record("intent", b"\xff\xfe not utf8 \x80") is None
 
 
 # -- the facade ------------------------------------------------------------------
@@ -318,24 +330,12 @@ class TestClusterAcceptance:
 # -- crash-point sweep over the cross-shard rename -------------------------------
 
 
-def _sharded_pair():
-    """Two CFFS shards on journaling fault proxies, under one cluster."""
-    filesystems = []
-    devices = []
-    for _ in range(2):
-        device = FaultyBlockDevice(BlockDevice(TEST_PROFILE),
-                                   record_journal=True)
-        config = CFFSConfig(blocks_per_cg=512, cache_blocks=512,
-                            policy=MetadataPolicy.SYNC_METADATA)
-        filesystems.append(CFFS.mkfs(device, config))
-        devices.append(device)
-    cluster = Cluster(filesystems=filesystems, router="util")
-    return cluster, devices
-
-
 class TestCrossShardRenameCrashSweep:
-    def test_every_media_write_boundary_recovers_to_exactly_one_copy(self):
-        cluster, devices = _sharded_pair()
+    @pytest.mark.parametrize("policy", list(MetadataPolicy),
+                             ids=[p.value for p in MetadataPolicy])
+    def test_every_media_write_boundary_recovers_to_exactly_one_copy(
+            self, policy):
+        cluster, devices = sharded_pair(policy)
         fs = cluster.fs
         payload = b"exactly-once" * 700   # spans multiple blocks
         fs.mkdir("/src")
@@ -345,53 +345,25 @@ class TestCrossShardRenameCrashSweep:
         assert cluster.router.assignments["src"] != \
             cluster.router.assignments["dst"]
 
-        # Record the *global* interleaved media-write order from here on.
-        base = [len(dev.journal) for dev in devices]
-        order = []
-        for sid, dev in enumerate(devices):
-            dev.on_media_write = (
-                lambda bno, data, sid=sid: order.append(sid))
-
-        fs.rename("/src/f", "/dst/f")
-        fs.sync()
-        for dev in devices:
-            dev.on_media_write = None
-        assert len(order) > 0
+        def rename():
+            fs.rename("/src/f", "/dst/f")
+            fs.sync()
 
         outcomes = set()
-        for k in range(len(order) + 1):
-            prefix = order[:k]
-            images = [dev.image_at(base[sid] + prefix.count(sid))
-                      for sid, dev in enumerate(devices)]
-            mounted = []
-            for image in images:
-                fsck_cffs(image, repair=True)
-                report = fsck_cffs(image)
-                assert report.pristine, (
-                    "crash point %d unrepairable: %s"
-                    % (k, "; ".join(report.errors + report.repairs)))
-                mounted.append(CFFS.mount(image))
-            recovered = Cluster(filesystems=mounted, router="util")
-            for _, action in recovered.recover():
-                outcomes.add(action)
-            src_has = mounted[0].exists("/src/f")
-            dst_has = mounted[1].exists("/dst/f")
-            assert src_has != dst_has, (
-                "crash point %d/%d: file on %s"
-                % (k, len(order),
-                   "both shards" if src_has else "neither shard"))
-            survivor = mounted[0] if src_has else mounted[1]
-            path = "/src/f" if src_has else "/dst/f"
-            assert survivor.read_file(path) == payload, (
-                "crash point %d: surviving copy corrupt" % k)
+        for k, images in crash_images(devices, rename):
+            where = "%s crash point %d" % (policy.value, k)
+            recovered = remount_cluster(images, policy, where)
+            outcomes.update(action for _, action in recovered.recover())
+            assert_one_copy(recovered, ("/src/f", "/dst/f"), payload, where)
             # Recovery leaves no intent behind on either shard.
             assert recovered.recover() == []
+        assert k > 0
         # The sweep crossed the commit point: both directions happened.
         assert "rolled_back" in outcomes
         assert "rolled_forward" in outcomes
 
     def test_recovery_discards_garbled_intents_without_touching_files(self):
-        cluster, _ = _sharded_pair()
+        cluster, _ = sharded_pair()
         fs = cluster.fs
         fs.mkdir("/src")
         fs.write_file("/src/f", b"safe")
@@ -421,8 +393,8 @@ class TestIntentRecoveryIdempotence:
         cluster.fs.write_file("/a/x", b"authoritative")
         dst = cluster.shards[sid_b].fs
         dst.write_file("/b/x", b"partial copy")
-        dst.write_file("/.cluster/intent-000001",
-                       encode_intent(sid_a, "/a/x", "/b/x"))
+        dst.write_file("/.cluster/intent-000001", encode_record(
+            "intent", src_shard=sid_a, src="/a/x", dst="/b/x"))
         assert cluster.recover() == [(sid_a, "rolled_back")]
         assert not dst.exists("/b/x")
         assert cluster.fs.read_file("/a/x") == b"authoritative"
@@ -438,10 +410,10 @@ class TestIntentRecoveryIdempotence:
         cluster.fs.write_file("/a/x", b"old source")
         dst = cluster.shards[sid_b].fs
         dst.write_file("/b/x", b"committed copy")
-        dst.write_file("/.cluster/intent-000001",
-                       encode_intent(sid_a, "/a/x", "/b/x"))
-        dst.write_file("/.cluster/intent-000002",
-                       encode_intent(sid_a, "/a/gone", "/b/x"))
+        dst.write_file("/.cluster/intent-000001", encode_record(
+            "intent", src_shard=sid_a, src="/a/x", dst="/b/x"))
+        dst.write_file("/.cluster/intent-000002", encode_record(
+            "intent", src_shard=sid_a, src="/a/gone", dst="/b/x"))
         outcomes = cluster.recover()
         assert sorted(outcomes) == [(sid_a, "rolled_back"),
                                     (sid_a, "rolled_forward")]

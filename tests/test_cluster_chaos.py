@@ -26,7 +26,6 @@ import json
 
 import pytest
 
-from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
     ChaosConfig,
@@ -45,7 +44,6 @@ from repro.cluster import (
     run_cluster_chaos,
     validate_chaos_summary,
 )
-from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import (
     DeviceDegraded,
     FileNotFound,
@@ -55,11 +53,10 @@ from repro.errors import (
     ReadOnlyFileSystem,
     TransientDiskError,
 )
-from repro.faults.proxy import FaultyBlockDevice
+from repro.faults.harness import crash_images
 from repro.faults.schedule import FaultSchedule
-from repro.fsck import fsck_cffs
 from repro.obs.metrics import MetricsRegistry
-from tests.conftest import TEST_PROFILE
+from tests.conftest import assert_one_copy, remount_cluster, sharded_pair
 
 CHAOS_SMALL = dict(clients=80, ops_per_client=3, dirs=24, file_size=8192)
 
@@ -387,24 +384,11 @@ class TestEvacuation:
 # -- evacuation crash-point sweep ------------------------------------------------
 
 
-def _sharded_pair():
-    """Two CFFS shards on journaling fault proxies, under one cluster."""
-    filesystems = []
-    devices = []
-    for _ in range(2):
-        device = FaultyBlockDevice(BlockDevice(TEST_PROFILE),
-                                   record_journal=True)
-        config = CFFSConfig(blocks_per_cg=512, cache_blocks=512,
-                            policy=MetadataPolicy.SYNC_METADATA)
-        filesystems.append(CFFS.mkfs(device, config))
-        devices.append(device)
-    cluster = Cluster(filesystems=filesystems, router="util")
-    return cluster, devices
-
-
 class TestEvacuationCrashSweep:
-    def test_every_media_write_boundary_keeps_exactly_one_copy(self):
-        cluster, devices = _sharded_pair()
+    @pytest.mark.parametrize("policy", list(MetadataPolicy),
+                             ids=[p.value for p in MetadataPolicy])
+    def test_every_media_write_boundary_keeps_exactly_one_copy(self, policy):
+        cluster, devices = sharded_pair(policy)
         fs = cluster.fs
         payloads = {"/a/one": b"survivor" * 600, "/a/two": b"also" * 250}
         fs.mkdir("/a")
@@ -412,54 +396,26 @@ class TestEvacuationCrashSweep:
             fs.write_file(path, data)
         fs.sync()
         assert cluster.router.assignments["a"] == 0
+        dst_writes = len(devices[1].journal)
 
-        base = [len(dev.journal) for dev in devices]
-        order = []
-        for sid, dev in enumerate(devices):
-            dev.on_media_write = (
-                lambda bno, data, sid=sid: order.append(sid))
-
-        cluster.health.mark(0, HealthState.READ_ONLY, "demoted")
-        cluster.evacuate(0)
-        fs.sync()
-        for dev in devices:
-            dev.on_media_write = None
-        assert len(order) > 0
-        # Every copy and record lands on the destination; the source
-        # sees at most metadata touches from its read path.
-        assert 1 in set(order)
+        def evacuate():
+            cluster.health.mark(0, HealthState.READ_ONLY, "demoted")
+            cluster.evacuate(0)
+            fs.sync()
 
         outcomes = set()
-        for k in range(len(order) + 1):
-            prefix = order[:k]
-            images = [dev.image_at(base[sid] + prefix.count(sid))
-                      for sid, dev in enumerate(devices)]
-            mounted = []
-            for image in images:
-                fsck_cffs(image, repair=True)
-                report = fsck_cffs(image)
-                assert report.pristine, (
-                    "crash point %d unrepairable: %s"
-                    % (k, "; ".join(report.errors + report.repairs)))
-                mounted.append(CFFS.mount(image))
-            recovered = Cluster(filesystems=mounted, router="util")
-            for _, action in recovered.recover():
-                outcomes.add(action)
-            src_has = mounted[0].exists("/a")
-            dst_has = mounted[1].exists("/a")
-            assert src_has != dst_has, (
-                "crash point %d/%d: subtree on %s"
-                % (k, len(order),
-                   "both shards" if src_has else "neither shard"))
-            survivor = mounted[0] if src_has else mounted[1]
+        for k, images in crash_images(devices, evacuate):
+            where = "%s crash point %d" % (policy.value, k)
+            recovered = remount_cluster(images, policy, where)
+            outcomes.update(action for _, action in recovered.recover())
             for path, data in sorted(payloads.items()):
-                assert survivor.read_file(path) == data, (
-                    "crash point %d: %s corrupt on the surviving shard"
-                    % (k, path))
-            assert recovered.rebuild_assignments()["a"] == (0 if src_has
-                                                            else 1)
+                assert_one_copy(recovered, (path,), data, where)
             # Recovery converged: a second run is a no-op.
             assert recovered.recover() == []
+        assert k > 0
+        # Every copy and record lands on the destination; the source
+        # sees at most metadata touches from its read path.
+        assert len(devices[1].journal) > dst_writes
         # The sweep crossed the adopt commit point: both directions.
         assert "evac_rolled_back" in outcomes
         assert "evac_rolled_forward" in outcomes

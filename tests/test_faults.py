@@ -165,6 +165,21 @@ class TestPowerCut:
         full = dev.image_at()
         assert full.peek_block(34) == block(5)
 
+    def test_image_at_keeps_a_populated_inner_device(self):
+        inner = BlockDevice(TEST_PROFILE)
+        inner.poke_block(0, block(7))
+        inner.poke_block(40, block(8))
+        dev = FaultyBlockDevice(inner, record_journal=True)
+        dev.write_block(40, block(9))
+        before = dev.image_at(0)
+        assert before.peek_block(0) == block(7)
+        assert before.peek_block(40) == block(8)
+        after = dev.image_at(1)
+        assert after.peek_block(0) == block(7)
+        assert after.peek_block(40) == block(9)
+        # The inner device moved on; the recorded base did not.
+        assert dev.image_at(0).peek_block(40) == block(8)
+
     def test_image_at_requires_journal(self):
         dev = proxy()
         with pytest.raises(ValueError):

@@ -8,14 +8,18 @@ with synchronous, soft-updates, and journaling metadata.
 
 import pytest
 
+from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.errors import ReproError
 from repro.faults.harness import (
+    FAULTSIM_PROFILE,
     Checkpoint,
+    crash_images,
     crash_point_sweep,
     render_sweep,
     run_journaled_workload,
 )
+from repro.faults.proxy import FaultyBlockDevice
 
 ALL_POLICIES = (MetadataPolicy.SYNC_METADATA, MetadataPolicy.DELAYED_METADATA,
                 MetadataPolicy.JOURNAL_METADATA)
@@ -80,6 +84,60 @@ class TestSweepFast:
     def test_bad_stride_rejected(self):
         with pytest.raises(ReproError):
             crash_point_sweep("ffs", stride=0)
+
+
+def recording_pair():
+    return [FaultyBlockDevice(BlockDevice(FAULTSIM_PROFILE),
+                              record_journal=True) for _ in range(2)]
+
+
+def blk(tag):
+    return bytes([tag]) * BLOCK_SIZE
+
+
+class TestCrashImages:
+    def test_merges_devices_into_one_write_order(self):
+        devices = recording_pair()
+        devices[0].write_block(9, blk(1))       # before the sweep: base
+
+        def workload():
+            devices[1].write_block(5, blk(2))
+            devices[0].write_block(5, blk(3))
+            devices[1].write_block(6, blk(4))
+
+        points = [(k, [(img.peek_block(5), img.peek_block(6))
+                       for img in images])
+                  for k, images in crash_images(devices, workload)]
+        zero = bytes(BLOCK_SIZE)
+        assert [k for k, _ in points] == [0, 1, 2, 3]
+        assert points[1][1] == [(zero, zero), (blk(2), zero)]
+        assert points[2][1] == [(blk(3), zero), (blk(2), zero)]
+        assert points[3][1] == [(blk(3), zero), (blk(2), blk(4))]
+        for _, images in crash_images(devices, lambda: None):
+            assert images[0].peek_block(9) == blk(1)
+
+    def test_stride_always_includes_the_final_write(self):
+        devices = recording_pair()
+
+        def workload():
+            for i in range(7):
+                devices[i % 2].write_block(i, blk(i + 1))
+
+        ks = [k for k, _ in crash_images(devices, workload, stride=3)]
+        assert ks == [0, 3, 6, 7]
+
+    def test_hooks_are_restored_when_the_workload_raises(self):
+        devices = recording_pair()
+        sentinel = devices[0].on_media_write = lambda bno, data: None
+
+        def workload():
+            devices[0].write_block(1, blk(1))
+            raise ReproError("boom")
+
+        with pytest.raises(ReproError):
+            list(crash_images(devices, workload))
+        assert devices[0].on_media_write is sentinel
+        assert devices[1].on_media_write is None
 
 
 @pytest.mark.slow
